@@ -22,8 +22,9 @@
 //! inspectable — the inter-node crossing count the hierarchy exists to
 //! minimise is just a filter over the ops.
 
-use crate::collectives::policy::SyncMode;
-use crate::collectives::schedule::{self, CommSchedule, OpKind, Stage, TransferOp};
+use crate::collectives::plan::{self, PlanKey};
+use crate::collectives::policy::{Algorithm, SyncMode};
+use crate::collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
 use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -244,8 +245,53 @@ pub fn broadcast_hier_sync<T: XbrType>(
         return;
     }
 
-    let sched = broadcast_hier_sched(pe.n_pes(), topo.pes_per_node, root, nelems);
-    schedule::execute_sync(pe, &sched, dest.whole(), &[], &mut [], None, sync);
+    let key = hier_key::<T>(
+        pe,
+        CollectiveKind::Broadcast,
+        sync,
+        root,
+        nelems,
+        topo.pes_per_node,
+    );
+    plan::run_schedule(
+        pe,
+        key,
+        || broadcast_hier_sched(pe.n_pes(), topo.pes_per_node, root, nelems),
+        dest.whole(),
+        &[],
+        &mut [],
+        None,
+        sync,
+    );
+}
+
+/// Plan-cache key of a hierarchical collective: the flat binomial shape
+/// plus the node size that splits it into tiers.
+fn hier_key<T: XbrType>(
+    pe: &Pe,
+    kind: CollectiveKind,
+    sync: SyncMode,
+    root: usize,
+    nelems: usize,
+    pes_per_node: usize,
+) -> PlanKey {
+    let tag = match kind {
+        CollectiveKind::Broadcast => plan::tag::HIER_BROADCAST,
+        _ => plan::tag::HIER_REDUCE,
+    };
+    let mut key = PlanKey::rooted(
+        kind,
+        Algorithm::Binomial,
+        sync,
+        pe.n_pes(),
+        root,
+        nelems,
+        1,
+        std::mem::size_of::<T>(),
+        tag,
+    );
+    key.shape.push(pes_per_node as u64);
+    key
 }
 
 /// Hierarchical reduction with an arbitrary combiner: tier 1 within nodes
@@ -283,8 +329,24 @@ pub fn reduce_hier_sync<T: XbrType>(
     }
     pe.barrier();
 
-    let sched = reduce_hier_sched(pe.n_pes(), topo.pes_per_node, root, nelems);
-    schedule::execute_sync(pe, &sched, work.whole(), &[], &mut [], Some(&f), sync);
+    let key = hier_key::<T>(
+        pe,
+        CollectiveKind::Reduce,
+        sync,
+        root,
+        nelems,
+        topo.pes_per_node,
+    );
+    plan::run_schedule(
+        pe,
+        key,
+        || reduce_hier_sched(pe.n_pes(), topo.pes_per_node, root, nelems),
+        work.whole(),
+        &[],
+        &mut [],
+        Some(&f),
+        sync,
+    );
 
     if pe.rank() == root && nelems > 0 {
         pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
@@ -322,7 +384,7 @@ mod tests {
         assert_eq!(sched.total_ops(), 11);
         assert_eq!(inter_node_ops(&sched, 3), 3);
         // The flat tree crosses more often on the same layout.
-        let flat = schedule::broadcast_binomial(12, 0, 64, 1);
+        let flat = crate::collectives::schedule::broadcast_binomial(12, 0, 64, 1);
         assert!(inter_node_ops(&flat, 3) > 3);
         // Reduce mirrors broadcast.
         let red = reduce_hier_sched(12, 3, 0, 64);
@@ -466,6 +528,39 @@ mod tests {
                     sync.name()
                 );
             }
+        }
+    }
+
+    /// Hierarchical collectives issue through the plan path: the resolved
+    /// algorithm and sync discipline land in the telemetry, and repeat
+    /// calls hit the plan cache (one entry per hierarchical shape).
+    #[test]
+    fn hier_collectives_record_choices_and_hit_the_plan_cache() {
+        for sync in SyncMode::CONCRETE {
+            let report = Fabric::run(topo_cfg(8, 4), move |pe| {
+                let dest = pe.shared_malloc::<u64>(4);
+                let src = pe.shared_malloc::<u64>(4);
+                pe.heap_write(src.whole(), &[1, 2, 3, 4]);
+                pe.barrier();
+                let mut sum = [0u64; 4];
+                for _ in 0..3 {
+                    broadcast_hier_sync(pe, &dest, &[5, 6, 7, 8], 4, 5, sync);
+                    reduce_hier_sync(pe, &mut sum, &src, 4, 2, |a, b| a + b, sync);
+                }
+                pe.barrier();
+                (pe.heap_read_vec::<u64>(dest.whole(), 4), sum)
+            });
+            assert_eq!(report.results[0].0, vec![5, 6, 7, 8], "{}", sync.name());
+            assert_eq!(report.results[2].1, [8, 16, 24, 32], "{}", sync.name());
+            for kind in [CollectiveKind::Broadcast, CollectiveKind::Reduce] {
+                let rec = report.collective(kind).expect("collective recorded");
+                assert_ne!(rec.algo_mask, 0, "{kind:?} {}: algorithm", sync.name());
+                assert_ne!(rec.sync_mask, 0, "{kind:?} {}: sync mode", sync.name());
+            }
+            let stats = report.plan_cache.expect("plan cache on by default");
+            assert_eq!(stats.entries, 2, "{}: one plan per shape", sync.name());
+            assert_eq!(stats.misses, 2, "{}", sync.name());
+            assert_eq!(stats.hits, 8 * 3 * 2 - 2, "{}: repeats hit", sync.name());
         }
     }
 

@@ -10,14 +10,16 @@
 //!
 //! Every collective here is built on the [`schedule`] layer: a generator
 //! materialises the communication pattern as a [`schedule::CommSchedule`]
-//! (pure data, unit-testable without a fabric) and one generic executor
-//! issues it on a PE. [`policy`] selects among algorithm shapes at runtime.
+//! (pure data, unit-testable without a fabric), [`plan`] lowers it once
+//! into per-PE step programs, and one executor issues them on a PE.
+//! [`policy`] selects among algorithm shapes at runtime.
 //!
-//! Because schedules are pure data, they can be checked without a fabric:
-//! [`verify`] interprets a schedule against an abstract provenance memory
-//! model (final-buffer equivalence, happens-before, write races) and
-//! [`explore`] enumerates interleavings of the modelled executor — up to
-//! exhaustively — and mutation-tests the oracle itself.
+//! Because the lowered plans are pure data too, they can be checked
+//! without a fabric: [`verify`] interprets the executed plan against an
+//! abstract provenance memory model (final-buffer equivalence,
+//! happens-before, write races) and [`explore`] enumerates its
+//! interleavings — up to exhaustively — and mutation-tests the oracle
+//! itself.
 
 pub mod baseline;
 pub mod broadcast;
@@ -40,8 +42,8 @@ pub use baseline::{
 };
 pub use broadcast::{broadcast, broadcast_sync};
 pub use explore::{
-    explore_exhaustive, run_mutation_harness, ExploreConfig, ExploreOutcome, Mutation,
-    MutationReport, RandomPriority, RoundRobin, Scheduler,
+    explore_exhaustive, run_mutation_harness, run_plan_mutation_harness, ExploreConfig,
+    ExploreOutcome, Mutation, MutationReport, PlanMutation, RandomPriority, RoundRobin, Scheduler,
 };
 pub use extended::{
     all_gather, all_gather_algo_sync, all_gather_doubling_sched, all_gather_sync, all_to_all,
@@ -53,7 +55,7 @@ pub use gather::gather;
 pub use hierarchical::{broadcast_hier, broadcast_hier_sync, reduce_hier, reduce_hier_sync};
 pub use plan::{
     allreduce_fused, execute_plan, ixallreduce, ixallreduce_algo, ixbroadcast, ixreduce, lower,
-    plan_create_allreduce, plan_create_broadcast, CollHandle, PersistentAllReduce,
+    lower_pe, plan_create_allreduce, plan_create_broadcast, CollHandle, PersistentAllReduce,
     PersistentBroadcast, Plan, PlanCache, PlanCacheStats, PlanKey, PlanStep,
 };
 pub use policy::{

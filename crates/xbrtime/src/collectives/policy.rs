@@ -87,8 +87,8 @@ pub enum SyncMode {
 /// barrier costs no more than the signal exchange that would replace it
 /// (`xbench_sweep` at 2 PEs: barrier wins every swept cell by the signal
 /// bookkeeping, ~30 cycles): `Auto` stays with the paper's barrier
-/// executor. The executor additionally falls back to barriers for
-/// single-stage schedules at any scale (see `execute_sync`).
+/// executor. Lowering additionally falls back to barriers for
+/// single-stage schedules at any scale (see `CommSchedule::resolve_sync`).
 const AUTO_SYNC_MIN_PES: usize = 4;
 
 /// Payload size (bytes per transfer) from which `Auto` turns on
@@ -129,9 +129,9 @@ pub fn pipeline_chunks(nbytes: usize) -> usize {
 /// Signal-table slots reserved per schedule op: one per possible pipeline
 /// segment, plus a readiness slot (get-kind ops: "my segment is valid,
 /// pull away") and an acknowledgement slot (deferred folds: "I have read
-/// your segment, you may overwrite yours"). The executor, the watchdog's
-/// slot naming, and the conformance oracle all derive slot addresses from
-/// this one layout.
+/// your segment, you may overwrite yours"). `plan::lower` assigns slot
+/// addresses from this layout, and the watchdog's slot naming decodes
+/// them with [`slot_role`].
 pub const SLOTS_PER_OP: usize = MAX_PIPELINE_CHUNKS + 2;
 
 /// Per-op slot index of the readiness flag.

@@ -1,11 +1,15 @@
-//! The schedule conformance oracle — a pure-data interpreter for
-//! [`CommSchedule`]s against an abstract provenance memory model.
+//! The schedule conformance oracle — an abstract machine that runs the
+//! executed [`Plan`] against a provenance memory model.
 //!
-//! The executor in [`schedule`](crate::collectives::schedule) runs a
-//! schedule on the thread-per-PE fabric; this module runs the *same*
-//! schedule on an abstract machine where every element holds the sorted
-//! multiset of `(space, pe, index)` atoms that produced it, instead of
-//! numbers. Three checks fall out:
+//! The runtime lowers a `(schedule, sync mode)` pair into per-PE
+//! [`PlanStep`] programs ([`plan::lower`](crate::collectives::plan::lower))
+//! and executes them on the fabric. This module lowers the *same* pair
+//! through the *same* lowering and interprets those steps on an abstract
+//! machine where every element holds the sorted multiset of
+//! `(space, pe, index)` atoms that produced it, instead of numbers, and
+//! where signals live in per-PE slot tables addressed exactly as on the
+//! fabric: a post names its target PE and slot, a wait consumes a slot
+//! of the waiting PE's own table. Three checks fall out:
 //!
 //! * **final-buffer equivalence** — the machine's final state is compared
 //!   against a *dense single-PE reference* computed directly from the
@@ -19,19 +23,20 @@
 //! * **write races** — the same plane flags unordered same-destination
 //!   writes and writes that overtake an unacknowledged read.
 //!
-//! The bridge between the two worlds is [`compile`]: it lowers a
-//! `(schedule, sync mode)` pair into per-PE step programs by *mirroring
-//! the executor's control flow* — the same slot addressing
-//! ([`SLOTS_PER_OP`] layout), the same readiness/ack protocol, the same
-//! pending-signal bookkeeping and chunking — so a dependency the executor
-//! relies on but the schedule does not justify shows up as a model
-//! violation. The deterministic interleaving explorer in
-//! [`explore`](crate::collectives::explore) replays these programs under
-//! pluggable schedulers, up to exhaustive DFS over all interleavings.
+//! A dependency the executed protocol relies on but the schedule does not
+//! justify therefore shows up as a model violation. The deterministic
+//! interleaving explorer in [`explore`](crate::collectives::explore)
+//! replays these programs under pluggable schedulers, up to exhaustive
+//! DFS over all interleavings, and mutates both schedules and plans to
+//! check that the oracle notices.
 
-use crate::collectives::policy::{pipeline_chunks, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP};
-use crate::collectives::schedule::{is_put_kind, CommSchedule, OpKind, TransferOp};
+use crate::collectives::explore::{RoundRobin, Scheduler};
+use crate::collectives::plan::{lower_traced, Plan, PlanStep};
+use crate::collectives::policy::SyncMode;
+use crate::collectives::schedule::CommSchedule;
 use crate::collectives::vrank::logical_rank;
+
+pub use crate::collectives::plan::OpRef;
 
 // ---------------------------------------------------------------------------
 // The provenance value domain.
@@ -84,33 +89,12 @@ fn merge(a: &Val, b: &Val) -> Val {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled per-PE step programs.
+// The executed plan, as the abstract machine sees it.
 // ---------------------------------------------------------------------------
-
-/// Coordinates of the schedule op a step belongs to, for reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpRef {
-    /// Stage index in the schedule.
-    pub stage: usize,
-    /// Op index within the stage.
-    pub op: usize,
-    /// Pipeline chunk, when the op was chunked.
-    pub chunk: Option<usize>,
-}
-
-impl std::fmt::Display for OpRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "stage {} op {}", self.stage, self.op)?;
-        if let Some(c) = self.chunk {
-            write!(f, " chunk {c}")?;
-        }
-        Ok(())
-    }
-}
 
 /// A strided element window in one PE's copy of one space.
 #[derive(Clone, Copy, Debug)]
-struct Loc {
+pub(crate) struct Loc {
     space: Space,
     pe: usize,
     at: usize,
@@ -119,70 +103,217 @@ struct Loc {
 }
 
 impl Loc {
-    fn sym(pe: usize, at: usize, nelems: usize, stride: usize) -> Self {
+    fn new(space: Space, pe: u32, at: u32, nelems: u32, stride: u32) -> Self {
         Loc {
-            space: Space::Sym,
-            pe,
-            at,
-            nelems,
-            stride,
+            space,
+            pe: pe as usize,
+            at: at as usize,
+            nelems: nelems as usize,
+            stride: stride as usize,
         }
+    }
+
+    /// One past the last element the window covers.
+    pub(crate) fn end(&self) -> usize {
+        if self.nelems == 0 {
+            self.at
+        } else {
+            self.at + (self.nelems - 1) * self.stride + 1
+        }
+    }
+
+    /// `true` when both windows cover a common element (conservatively:
+    /// their contiguous spans intersect).
+    pub(crate) fn overlaps(&self, o: &Loc) -> bool {
+        self.space == o.space && self.pe == o.pe && self.at < o.end() && o.at < self.end()
     }
 }
 
-/// One atomic step of a PE's compiled program.
-///
-/// Copies carry their completion signal (`post`) in the same step,
-/// mirroring put-with-signal semantics: the flag can never be observed
-/// before the payload it covers.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Global rendezvous (all PEs must be parked at their barrier).
-    Barrier,
-    /// Raise signal-table slot `slot`.
-    Post { slot: usize },
-    /// Block until `slot` is raised, then consume it.
-    Wait { slot: usize },
-    /// Copy `src` to `dst` element-wise, then optionally post.
-    Copy {
-        src: Loc,
-        dst: Loc,
-        post: Option<usize>,
-    },
-    /// Read `src` into the stepping PE's landing buffer (at positions
-    /// `j·stride`), then optionally post (the deferred-fold read ack).
-    Landing { src: Loc, post: Option<usize> },
-    /// Merge the landing buffer into `dst` element-wise.
-    Fold { dst: Loc },
+/// The buffer windows PE `me`'s `step` reads and writes. The landing
+/// buffer is private to the stepping PE and is not a window; signal and
+/// control steps touch no data. A symmetric fold rewrites its whole span,
+/// as the executor's read-modify-write does.
+pub(crate) fn step_windows(step: &PlanStep, me: usize) -> (Option<Loc>, Option<Loc>) {
+    let me = me as u32;
+    let sym = |pe, at, n, s| Some(Loc::new(Space::Sym, pe, at, n, s));
+    match *step {
+        PlanStep::PutSymm {
+            dst_at,
+            src_at,
+            nelems,
+            stride,
+            dst_pe,
+            ..
+        } => (
+            sym(me, src_at, nelems, stride),
+            sym(dst_pe, dst_at, nelems, stride),
+        ),
+        PlanStep::PutFrom {
+            dst_at,
+            src_lo,
+            nelems,
+            stride,
+            dst_pe,
+            ..
+        }
+        | PlanStep::PutNb {
+            dst_at,
+            src_lo,
+            nelems,
+            stride,
+            dst_pe,
+            ..
+        } => (
+            Some(Loc::new(Space::LocalSrc, me, src_lo, nelems, stride)),
+            sym(dst_pe, dst_at, nelems, stride),
+        ),
+        PlanStep::GetSymm {
+            dst_at,
+            src_at,
+            nelems,
+            stride,
+            src_pe,
+        } => (
+            sym(src_pe, src_at, nelems, stride),
+            sym(me, dst_at, nelems, stride),
+        ),
+        PlanStep::GetInto {
+            dst_lo,
+            src_at,
+            nelems,
+            stride,
+            src_pe,
+            ..
+        } => (
+            sym(src_pe, src_at, nelems, stride),
+            Some(Loc::new(Space::LocalDst, me, dst_lo, nelems, stride)),
+        ),
+        PlanStep::GetLanding {
+            src_at,
+            nelems,
+            stride,
+            src_pe,
+            ..
+        } => (sym(src_pe, src_at, nelems, stride), None),
+        PlanStep::FoldSymm { dst_at, span, .. } => {
+            let w = sym(me, dst_at, span, 1);
+            (w, w)
+        }
+        PlanStep::FoldInto {
+            dst_at,
+            nelems,
+            stride,
+        } => {
+            let w = Some(Loc::new(Space::LocalDst, me, dst_at, nelems, stride));
+            (w, w)
+        }
+        PlanStep::StageStart { .. }
+        | PlanStep::StageEnd { .. }
+        | PlanStep::Barrier
+        | PlanStep::Post { .. }
+        | PlanStep::Wait { .. } => (None, None),
+    }
 }
 
-#[derive(Clone, Debug)]
-struct PStep {
-    step: Step,
-    /// Op the step belongs to (`None` for barriers).
-    op: Option<OpRef>,
+/// The `(target PE, slot)` a step raises, if any: readiness posts,
+/// put-with-signal completions and deferred-fold read acks.
+pub(crate) fn step_signal(step: &PlanStep) -> Option<(usize, usize)> {
+    match *step {
+        PlanStep::Post { slot, dst_pe }
+        | PlanStep::PutSymm {
+            sig: Some(slot),
+            dst_pe,
+            ..
+        }
+        | PlanStep::PutFrom {
+            sig: Some(slot),
+            dst_pe,
+            ..
+        }
+        | PlanStep::PutNb {
+            sig: Some(slot),
+            dst_pe,
+            ..
+        }
+        | PlanStep::GetLanding {
+            ack: Some(slot),
+            src_pe: dst_pe,
+            ..
+        } => Some((dst_pe as usize, slot as usize)),
+        _ => None,
+    }
 }
 
-/// A `(schedule, sync mode)` pair lowered to per-PE step programs plus
-/// the buffer geometry the abstract machine needs.
+/// Stage markers only feed progress and trace telemetry: the machine
+/// steps over them without an interleaving point.
+fn silent(step: &PlanStep) -> bool {
+    matches!(
+        step,
+        PlanStep::StageStart { .. } | PlanStep::StageEnd { .. }
+    )
+}
+
+/// A schedule as the abstract machine runs it: the [`Plan`] the runtime
+/// executes (same lowering, plus the model's optional chunk override),
+/// the [`OpRef`] of every step, and the buffer extents the steps touch.
+#[derive(Clone)]
 pub struct Program {
     /// World size.
     pub n_pes: usize,
-    /// The concrete discipline the programs encode (after `Auto`
-    /// resolution — identical to what the executor would run).
+    /// The concrete discipline the plan encodes (after `Auto`
+    /// resolution — the one the runtime runs).
     pub sync: SyncMode,
-    steps: Vec<Vec<PStep>>,
-    n_slots: usize,
+    plan: Plan,
+    refs: Vec<Vec<Option<OpRef>>>,
     sym_len: usize,
     lsrc_len: usize,
     ldst_len: usize,
-    landing_len: usize,
 }
 
 impl Program {
-    /// Total steps across all PEs.
-    pub fn total_steps(&self) -> usize {
-        self.steps.iter().map(Vec::len).sum()
+    /// Lower `sched` under `sync` exactly as the runtime does, recording
+    /// op coordinates for reports.
+    pub fn new(sched: &CommSchedule, sync: SyncMode, cfg: &ModelConfig) -> Self {
+        let (plan, refs) = lower_traced(sched, sync, cfg.elem_bytes, cfg.force_chunks);
+        Self::from_parts(plan, refs)
+    }
+
+    /// Wrap a (possibly mutated) plan and its per-step op coordinates.
+    pub(crate) fn from_parts(plan: Plan, refs: Vec<Vec<Option<OpRef>>>) -> Self {
+        let mut lens = [0usize; 3];
+        for (me, prog) in plan.per_pe.iter().enumerate() {
+            for step in &prog.steps {
+                let (r, w) = step_windows(step, me);
+                for loc in [r, w].into_iter().flatten() {
+                    let len = &mut lens[loc.space as usize];
+                    *len = (*len).max(loc.end());
+                }
+            }
+        }
+        Program {
+            n_pes: plan.n_pes,
+            sync: plan.sync,
+            plan,
+            refs,
+            sym_len: lens[Space::Sym as usize],
+            lsrc_len: lens[Space::LocalSrc as usize],
+            ldst_len: lens[Space::LocalDst as usize],
+        }
+    }
+
+    /// The inverse of [`Program::from_parts`].
+    pub(crate) fn into_parts(self) -> (Plan, Vec<Vec<Option<OpRef>>>) {
+        (self.plan, self.refs)
+    }
+
+    /// PE `pe`'s steps.
+    pub(crate) fn steps(&self, pe: usize) -> &[PlanStep] {
+        &self.plan.per_pe[pe].steps
+    }
+
+    /// The op coordinates of PE `pe`'s steps.
+    pub(crate) fn refs(&self, pe: usize) -> &[Option<OpRef>] {
+        &self.refs[pe]
     }
 
     /// The dense reference sized to this program's buffer geometry.
@@ -213,573 +344,23 @@ impl Default for ModelConfig {
     }
 }
 
-/// Contiguous element range `[start, end)` that chunk window `[c0, c1)`
-/// of a strided span occupies, measured from offset `at` (the executor's
-/// `chunk_range`).
-fn chunk_range(at: usize, stride: usize, c0: usize, c1: usize) -> (usize, usize) {
-    if c1 <= c0 {
-        return (at, at);
-    }
-    (at + c0 * stride, at + (c1 - 1) * stride + 1)
-}
-
-/// Element window of chunk `c` of `n` (the executor's `chunk_elems`).
-fn chunk_elems(op: &TransferOp, c: usize, n: usize) -> (usize, usize) {
-    let per = op.nelems.div_ceil(n);
-    ((c * per).min(op.nelems), ((c + 1) * per).min(op.nelems))
-}
-
-/// Lower `sched` under `sync` into per-PE step programs, mirroring the
-/// executor's control flow step for step (slot addressing, readiness and
-/// ack protocol, pending-signal consumption, chunking, drain, closing
-/// barrier).
-pub fn compile(sched: &CommSchedule, sync: SyncMode, cfg: &ModelConfig) -> Program {
-    let n = sched.n_pes;
-    let es = cfg.elem_bytes;
-    let resolved = sched.resolve_sync(sync, es);
-
-    let mut sym_len = 0usize;
-    let mut lsrc_len = 0usize;
-    let mut ldst_len = 0usize;
-    let mut landing_len = 0usize;
-    for op in sched.ops() {
-        let span = op.span();
-        match op.kind {
-            OpKind::Put | OpKind::Get | OpKind::GetFold => {
-                sym_len = sym_len.max(op.src_at + span).max(op.dst_at + span);
-            }
-            OpKind::PutFrom | OpKind::PutNb => {
-                lsrc_len = lsrc_len.max(op.src_at + span);
-                sym_len = sym_len.max(op.dst_at + span);
-            }
-            OpKind::GetInto | OpKind::GetFoldInto => {
-                sym_len = sym_len.max(op.src_at + span);
-                ldst_len = ldst_len.max(op.dst_at + span);
-            }
-        }
-        if op.is_fold() {
-            landing_len = landing_len.max(span);
-        }
-    }
-
-    let mut steps: Vec<Vec<PStep>> = vec![Vec::new(); n];
-    let base_prog = |sync| Program {
-        n_pes: n,
-        sync,
-        steps: Vec::new(),
-        n_slots: sched.total_ops() * SLOTS_PER_OP,
-        sym_len,
-        lsrc_len,
-        ldst_len,
-        landing_len,
-    };
-
-    // The executor's early exit: schedules that move no data perform no
-    // transfers and no barriers at all.
-    if !sched.ops().any(|op| op.nelems > 0) {
-        let mut p = base_prog(resolved);
-        p.steps = steps;
-        return p;
-    }
-
-    // Lower one op to its data-movement steps (no signals) — shared by
-    // the barrier discipline and reused with posts threaded in below.
-    let op_ref = |si: usize, oi: usize| OpRef {
-        stage: si,
-        op: oi,
-        chunk: None,
-    };
-
-    if resolved == SyncMode::Barrier {
-        for (si, stage) in sched.stages.iter().enumerate() {
-            if stage.deferred_fold {
-                // Phase 1: every read lands; mid-stage barrier; phase 2:
-                // folds; stage barrier.
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 || op.issuer() >= n {
-                        continue;
-                    }
-                    let me = op.issuer();
-                    steps[me].push(PStep {
-                        step: Step::Landing {
-                            src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                            post: None,
-                        },
-                        op: Some(op_ref(si, oi)),
-                    });
-                }
-                for pe_steps in steps.iter_mut() {
-                    pe_steps.push(PStep {
-                        step: Step::Barrier,
-                        op: None,
-                    });
-                }
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 {
-                        continue;
-                    }
-                    let me = op.issuer();
-                    steps[me].push(PStep {
-                        step: Step::Fold {
-                            dst: fold_dst(op, me),
-                        },
-                        op: Some(op_ref(si, oi)),
-                    });
-                }
-            } else {
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 {
-                        continue;
-                    }
-                    let me = op.issuer();
-                    push_plain_op(&mut steps[me], op, op_ref(si, oi));
-                }
-            }
-            for pe_steps in steps.iter_mut() {
-                pe_steps.push(PStep {
-                    step: Step::Barrier,
-                    op: None,
-                });
-            }
-        }
-        let mut p = base_prog(resolved);
-        p.steps = steps;
-        return p;
-    }
-
-    // ------------------------------------------------------------------
-    // Signaled / pipelined lowering.
-    // ------------------------------------------------------------------
-    let pipelined = resolved == SyncMode::Pipelined;
-    let op_base = sched.op_bases();
-    let chunks_of = |op: &TransferOp| -> usize {
-        if pipelined && is_put_kind(op.kind) {
-            match cfg.force_chunks {
-                Some(k) => k.clamp(1, SLOTS_PER_OP - 2).min(op.nelems.max(1)),
-                None => pipeline_chunks(op.nelems * es),
-            }
-        } else {
-            1
-        }
-    };
-
-    // Per-PE pending incoming-put signals `(slot, start, end)`, consumed
-    // with the executor's exact swap_remove scan so wait order matches.
-    let mut pending: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); n];
-    fn consume_overlapping(
-        pending: &mut Vec<(usize, usize, usize)>,
-        out: &mut Vec<PStep>,
-        start: usize,
-        end: usize,
-        op: Option<OpRef>,
-    ) {
-        let mut i = 0;
-        while i < pending.len() {
-            let (slot, s, e) = pending[i];
-            if s < end && start < e {
-                pending.swap_remove(i);
-                out.push(PStep {
-                    step: Step::Wait { slot },
-                    op,
-                });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    for (si, stage) in sched.stages.iter().enumerate() {
-        let base = op_base[si];
-        if stage.deferred_fold {
-            for me in 0..n {
-                // Announce my segments to the partners that will read them…
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                        consume_overlapping(
-                            &mut pending[me],
-                            &mut steps[me],
-                            op.src_at,
-                            op.src_at + op.span(),
-                            Some(op_ref(si, oi)),
-                        );
-                        steps[me].push(PStep {
-                            step: Step::Post {
-                                slot: (base + oi) * SLOTS_PER_OP + READY_SLOT,
-                            },
-                            op: Some(op_ref(si, oi)),
-                        });
-                    }
-                }
-                // …pull my partners' segments, acknowledging each read…
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.issuer() != me || op.nelems == 0 {
-                        continue;
-                    }
-                    let r = op_ref(si, oi);
-                    if op.src_pe != me {
-                        steps[me].push(PStep {
-                            step: Step::Wait {
-                                slot: (base + oi) * SLOTS_PER_OP + READY_SLOT,
-                            },
-                            op: Some(r),
-                        });
-                        steps[me].push(PStep {
-                            step: Step::Landing {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                post: Some((base + oi) * SLOTS_PER_OP + ACK_SLOT),
-                            },
-                            op: Some(r),
-                        });
-                    } else {
-                        steps[me].push(PStep {
-                            step: Step::Landing {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                post: None,
-                            },
-                            op: Some(r),
-                        });
-                    }
-                }
-                // …wait until my own segment has been read, then fold.
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                        steps[me].push(PStep {
-                            step: Step::Wait {
-                                slot: (base + oi) * SLOTS_PER_OP + ACK_SLOT,
-                            },
-                            op: Some(op_ref(si, oi)),
-                        });
-                    }
-                }
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.issuer() == me && op.nelems > 0 {
-                        steps[me].push(PStep {
-                            step: Step::Fold {
-                                dst: fold_dst(op, me),
-                            },
-                            op: Some(op_ref(si, oi)),
-                        });
-                    }
-                }
-            }
-            continue;
-        }
-
-        for me in 0..n {
-            // Readiness first: peers pulling from me this stage unblock
-            // before I start my own work.
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.nelems > 0 && !is_put_kind(op.kind) && op.src_pe == me && op.issuer() != me {
-                    consume_overlapping(
-                        &mut pending[me],
-                        &mut steps[me],
-                        op.src_at,
-                        op.src_at + op.span(),
-                        Some(op_ref(si, oi)),
-                    );
-                    steps[me].push(PStep {
-                        step: Step::Post {
-                            slot: (base + oi) * SLOTS_PER_OP + READY_SLOT,
-                        },
-                        op: Some(op_ref(si, oi)),
-                    });
-                }
-            }
-
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.issuer() != me || op.nelems == 0 {
-                    continue;
-                }
-                let sig = (base + oi) * SLOTS_PER_OP;
-                let plain = op_ref(si, oi);
-                match op.kind {
-                    OpKind::Put | OpKind::PutFrom | OpKind::PutNb => {
-                        let nch = chunks_of(op);
-                        for c in 0..nch {
-                            let (c0, c1) = chunk_elems(op, c, nch);
-                            if c0 >= c1 {
-                                continue;
-                            }
-                            let r = OpRef {
-                                stage: si,
-                                op: oi,
-                                chunk: if nch > 1 { Some(c) } else { None },
-                            };
-                            // Only symmetric-source puts consume pending
-                            // over their source window (private slices
-                            // cannot receive remote puts).
-                            if op.kind == OpKind::Put {
-                                let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
-                                consume_overlapping(
-                                    &mut pending[me],
-                                    &mut steps[me],
-                                    s0,
-                                    s1,
-                                    Some(r),
-                                );
-                            }
-                            let src_space = if op.kind == OpKind::Put {
-                                Space::Sym
-                            } else {
-                                Space::LocalSrc
-                            };
-                            steps[me].push(PStep {
-                                step: Step::Copy {
-                                    src: Loc {
-                                        space: src_space,
-                                        pe: op.src_pe,
-                                        at: op.src_at + c0 * op.stride,
-                                        nelems: c1 - c0,
-                                        stride: op.stride,
-                                    },
-                                    dst: Loc::sym(
-                                        op.dst_pe,
-                                        op.dst_at + c0 * op.stride,
-                                        c1 - c0,
-                                        op.stride,
-                                    ),
-                                    post: (op.dst_pe != me).then_some(sig + c),
-                                },
-                                op: Some(r),
-                            });
-                        }
-                    }
-                    OpKind::Get => {
-                        if op.src_pe != me {
-                            steps[me].push(PStep {
-                                step: Step::Wait {
-                                    slot: sig + READY_SLOT,
-                                },
-                                op: Some(plain),
-                            });
-                        }
-                        consume_overlapping(
-                            &mut pending[me],
-                            &mut steps[me],
-                            op.dst_at,
-                            op.dst_at + op.span(),
-                            Some(plain),
-                        );
-                        steps[me].push(PStep {
-                            step: Step::Copy {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                                post: None,
-                            },
-                            op: Some(plain),
-                        });
-                    }
-                    OpKind::GetInto => {
-                        if op.src_pe != me {
-                            steps[me].push(PStep {
-                                step: Step::Wait {
-                                    slot: sig + READY_SLOT,
-                                },
-                                op: Some(plain),
-                            });
-                        } else {
-                            consume_overlapping(
-                                &mut pending[me],
-                                &mut steps[me],
-                                op.src_at,
-                                op.src_at + op.span(),
-                                Some(plain),
-                            );
-                        }
-                        steps[me].push(PStep {
-                            step: Step::Copy {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                dst: Loc {
-                                    space: Space::LocalDst,
-                                    pe: me,
-                                    at: op.dst_at,
-                                    nelems: op.nelems,
-                                    stride: op.stride,
-                                },
-                                post: None,
-                            },
-                            op: Some(plain),
-                        });
-                    }
-                    OpKind::GetFold | OpKind::GetFoldInto => {
-                        if op.src_pe != me {
-                            steps[me].push(PStep {
-                                step: Step::Wait {
-                                    slot: sig + READY_SLOT,
-                                },
-                                op: Some(plain),
-                            });
-                        } else {
-                            consume_overlapping(
-                                &mut pending[me],
-                                &mut steps[me],
-                                op.src_at,
-                                op.src_at + op.span(),
-                                Some(plain),
-                            );
-                        }
-                        steps[me].push(PStep {
-                            step: Step::Landing {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                post: None,
-                            },
-                            op: Some(plain),
-                        });
-                        if op.kind == OpKind::GetFold {
-                            consume_overlapping(
-                                &mut pending[me],
-                                &mut steps[me],
-                                op.dst_at,
-                                op.dst_at + op.span(),
-                                Some(plain),
-                            );
-                        }
-                        steps[me].push(PStep {
-                            step: Step::Fold {
-                                dst: fold_dst(op, me),
-                            },
-                            op: Some(plain),
-                        });
-                    }
-                }
-            }
-        }
-
-        // This stage's puts into a PE become pending for it, chunk by
-        // chunk (data-only: no steps emitted).
-        for (oi, op) in stage.ops.iter().enumerate() {
-            if op.nelems == 0 || !is_put_kind(op.kind) || op.src_pe == op.dst_pe {
-                continue;
-            }
-            let nch = chunks_of(op);
-            for c in 0..nch {
-                let (c0, c1) = chunk_elems(op, c, nch);
-                if c0 >= c1 {
-                    continue;
-                }
-                let (start, end) = chunk_range(op.dst_at, op.stride, c0, c1);
-                pending[op.dst_pe].push(((base + oi) * SLOTS_PER_OP + c, start, end));
-            }
-        }
-    }
-
-    // Drain: every PE consumes its remaining pending signals, then one
-    // barrier closes the collective.
-    for (me, pend) in pending.iter_mut().enumerate() {
-        for (slot, _, _) in pend.drain(..) {
-            steps[me].push(PStep {
-                step: Step::Wait { slot },
-                op: None,
-            });
-        }
-    }
-    for pe_steps in steps.iter_mut() {
-        pe_steps.push(PStep {
-            step: Step::Barrier,
-            op: None,
-        });
-    }
-
-    let mut p = base_prog(resolved);
-    p.steps = steps;
-    p
-}
-
-/// Destination window of a fold op (symmetric for `GetFold`, the
-/// issuer's `local_dst` for `GetFoldInto`).
-fn fold_dst(op: &TransferOp, me: usize) -> Loc {
-    match op.kind {
-        OpKind::GetFold => Loc::sym(me, op.dst_at, op.nelems, op.stride),
-        OpKind::GetFoldInto => Loc {
-            space: Space::LocalDst,
-            pe: me,
-            at: op.dst_at,
-            nelems: op.nelems,
-            stride: op.stride,
-        },
-        _ => unreachable!("fold_dst on a non-fold op"),
-    }
-}
-
-/// Barrier-discipline lowering of one op owned by its issuer.
-fn push_plain_op(out: &mut Vec<PStep>, op: &TransferOp, r: OpRef) {
-    let me = op.issuer();
-    match op.kind {
-        OpKind::Put => out.push(PStep {
-            step: Step::Copy {
-                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::Get => out.push(PStep {
-            step: Step::Copy {
-                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::PutFrom | OpKind::PutNb => out.push(PStep {
-            step: Step::Copy {
-                src: Loc {
-                    space: Space::LocalSrc,
-                    pe: me,
-                    at: op.src_at,
-                    nelems: op.nelems,
-                    stride: op.stride,
-                },
-                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::GetInto => out.push(PStep {
-            step: Step::Copy {
-                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                dst: Loc {
-                    space: Space::LocalDst,
-                    pe: me,
-                    at: op.dst_at,
-                    nelems: op.nelems,
-                    stride: op.stride,
-                },
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::GetFold | OpKind::GetFoldInto => {
-            out.push(PStep {
-                step: Step::Landing {
-                    src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                    post: None,
-                },
-                op: Some(r),
-            });
-            out.push(PStep {
-                step: Step::Fold {
-                    dst: fold_dst(op, me),
-                },
-                op: Some(r),
-            });
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The abstract machine.
 // ---------------------------------------------------------------------------
 
-/// Functional machine state: buffers, signal slots, program counters.
-/// Clones cheaply enough for DFS branching at model-checking sizes.
+/// Functional machine state: buffers, per-PE signal tables, program
+/// counters. Clones cheaply enough for DFS branching at model-checking
+/// sizes.
 #[derive(Clone)]
 pub struct Machine {
     sym: Vec<Vec<Val>>,
     lsrc: Vec<Vec<Val>>,
     ldst: Vec<Vec<Val>>,
     landing: Vec<Vec<Val>>,
+    /// Raised flags, `n_slots` per PE: slot `s` of PE `p` is
+    /// `sig[p * n_slots + s]`.
     sig: Vec<u8>,
+    n_slots: usize,
     pc: Vec<usize>,
 }
 
@@ -839,6 +420,8 @@ pub enum Violation {
     /// A signal slot was posted while already raised (slot collision —
     /// two ops sharing a slot, or a re-post before the consume).
     DoublePost {
+        /// PE whose table holds the slot.
+        pe: usize,
         /// The colliding slot.
         slot: usize,
         /// The op that re-posted.
@@ -847,6 +430,8 @@ pub enum Violation {
     /// A slot was still raised when the collective closed (the executor
     /// relies on an all-zero table between collectives).
     StrandedSignal {
+        /// PE whose table holds the slot.
+        pe: usize,
         /// The stranded slot.
         slot: usize,
     },
@@ -895,11 +480,11 @@ impl std::fmt::Display for Violation {
                 name(writer),
                 name(reader)
             ),
-            Violation::DoublePost { slot, op } => {
-                write!(f, "double post on slot {} by {}", slot, name(op))
+            Violation::DoublePost { pe, slot, op } => {
+                write!(f, "double post on PE {pe} slot {slot} by {}", name(op))
             }
-            Violation::StrandedSignal { slot } => {
-                write!(f, "slot {slot} still raised at collective close")
+            Violation::StrandedSignal { pe, slot } => {
+                write!(f, "PE {pe} slot {slot} still raised at collective close")
             }
         }
     }
@@ -969,29 +554,53 @@ impl ConformanceReport {
 
 impl Machine {
     /// Fresh machine for `prog`: every element holds its own singleton
-    /// origin atom.
+    /// origin atom, every signal slot is clear.
     pub fn new(prog: &Program) -> Self {
         let init = |space: Space, len: usize| -> Vec<Vec<Val>> {
             (0..prog.n_pes)
                 .map(|pe| (0..len).map(|i| vec![atom(space, pe, i)]).collect())
                 .collect()
         };
-        Machine {
+        let mut m = Machine {
             sym: init(Space::Sym, prog.sym_len),
             lsrc: init(Space::LocalSrc, prog.lsrc_len),
             ldst: init(Space::LocalDst, prog.ldst_len),
-            landing: vec![vec![Vec::new(); prog.landing_len]; prog.n_pes],
-            sig: vec![0; prog.n_slots],
+            landing: prog
+                .plan
+                .per_pe
+                .iter()
+                .map(|p| vec![Vec::new(); p.landing_len])
+                .collect(),
+            sig: vec![0; prog.n_pes * prog.plan.n_slots],
+            n_slots: prog.plan.n_slots,
             pc: vec![0; prog.n_pes],
+        };
+        for pe in 0..prog.n_pes {
+            m.settle(prog, pe);
         }
+        m
+    }
+
+    /// Advance `pe` past stage markers.
+    fn settle(&mut self, prog: &Program, pe: usize) {
+        let steps = prog.steps(pe);
+        while self.pc[pe] < steps.len() && silent(&steps[self.pc[pe]]) {
+            self.pc[pe] += 1;
+        }
+    }
+
+    /// PE `pe`'s next step (`None` once its program completed).
+    fn next<'p>(&self, prog: &'p Program, pe: usize) -> Option<&'p PlanStep> {
+        prog.steps(pe).get(self.pc[pe])
+    }
+
+    fn raised(&self, pe: usize, slot: u32) -> bool {
+        self.sig[pe * self.n_slots + slot as usize] != 0
     }
 
     /// `true` when every PE ran its program to completion.
     pub fn all_done(&self, prog: &Program) -> bool {
-        self.pc
-            .iter()
-            .enumerate()
-            .all(|(pe, &pc)| pc >= prog.steps[pe].len())
+        (0..prog.n_pes).all(|pe| self.next(prog, pe).is_none())
     }
 
     /// Ranks whose next step can execute now. Barrier steps are enabled
@@ -999,32 +608,21 @@ impl Machine {
     /// only on the lowest such rank (the rendezvous is one transition, so
     /// offering it once avoids spurious DFS branching).
     pub fn enabled(&self, prog: &Program) -> Vec<usize> {
-        let at_barrier = |pe: usize| {
-            matches!(
-                prog.steps[pe].get(self.pc[pe]).map(|s| &s.step),
-                Some(Step::Barrier)
-            )
-        };
         let all_at_barrier = (0..prog.n_pes)
-            .filter(|&pe| self.pc[pe] < prog.steps[pe].len())
-            .all(at_barrier);
+            .filter_map(|pe| self.next(prog, pe))
+            .all(|s| matches!(s, PlanStep::Barrier));
         let mut out = Vec::new();
         let mut barrier_offered = false;
         for pe in 0..prog.n_pes {
-            let Some(ps) = prog.steps[pe].get(self.pc[pe]) else {
-                continue;
-            };
-            let on = match &ps.step {
-                Step::Barrier => {
-                    if all_at_barrier && !barrier_offered {
-                        barrier_offered = true;
-                        true
-                    } else {
-                        false
-                    }
+            let on = match self.next(prog, pe) {
+                None => false,
+                Some(PlanStep::Barrier) => {
+                    let offer = all_at_barrier && !barrier_offered;
+                    barrier_offered |= offer;
+                    offer
                 }
-                Step::Wait { slot } => self.sig[*slot] != 0,
-                _ => true,
+                Some(PlanStep::Wait { slot }) => self.raised(pe, *slot),
+                Some(_) => true,
             };
             if on {
                 out.push(pe);
@@ -1037,12 +635,10 @@ impl Machine {
     pub fn deadlock_info(&self, prog: &Program) -> DeadlockInfo {
         let mut blocked = Vec::new();
         for pe in 0..prog.n_pes {
-            if let Some(ps) = prog.steps[pe].get(self.pc[pe]) {
-                match &ps.step {
-                    Step::Wait { slot } => blocked.push((pe, Some(*slot))),
-                    Step::Barrier => blocked.push((pe, None)),
-                    _ => {}
-                }
+            match self.next(prog, pe) {
+                Some(PlanStep::Wait { slot }) => blocked.push((pe, Some(*slot as usize))),
+                Some(PlanStep::Barrier) => blocked.push((pe, None)),
+                _ => {}
             }
         }
         DeadlockInfo { blocked }
@@ -1098,12 +694,13 @@ impl Machine {
 
     /// Execute PE `pe`'s next step (caller guarantees it is enabled).
     pub fn step(&mut self, prog: &Program, pe: usize, mut vc: Option<&mut VcPlane>) {
-        let ps = prog.steps[pe][self.pc[pe]].clone();
+        let step = prog.steps(pe)[self.pc[pe]];
+        let r = prog.refs(pe)[self.pc[pe]];
         if let Some(vc) = vc.as_deref_mut() {
             vc.clocks[pe][pe] += 1;
         }
-        match ps.step {
-            Step::Barrier => {
+        match step {
+            PlanStep::Barrier => {
                 // Global rendezvous: advance every PE parked here.
                 if let Some(vc) = vc.as_deref_mut() {
                     let mut joined = vec![0u64; prog.n_pes];
@@ -1117,90 +714,95 @@ impl Machine {
                     }
                 }
                 for q in 0..prog.n_pes {
-                    if self.pc[q] < prog.steps[q].len() {
-                        debug_assert!(matches!(prog.steps[q][self.pc[q]].step, Step::Barrier));
+                    if self.next(prog, q).is_some() {
+                        debug_assert!(matches!(self.next(prog, q), Some(PlanStep::Barrier)));
                         self.pc[q] += 1;
+                        self.settle(prog, q);
                     }
                 }
                 return;
             }
-            Step::Post { slot } => {
-                self.post(slot, pe, ps.op, &mut vc);
-            }
-            Step::Wait { slot } => {
-                debug_assert_ne!(self.sig[slot], 0, "stepped a blocked wait");
-                self.sig[slot] = 0;
+            PlanStep::Wait { slot } => {
+                let ix = pe * self.n_slots + slot as usize;
+                debug_assert_ne!(self.sig[ix], 0, "stepped a blocked wait");
+                self.sig[ix] = 0;
                 if let Some(vc) = vc.as_deref_mut() {
-                    if let Some(sc) = vc.slot_clocks[slot].take() {
+                    if let Some(sc) = vc.slot_clocks[ix].take() {
                         for (q, v) in sc.iter().enumerate() {
                             vc.clocks[pe][q] = vc.clocks[pe][q].max(*v);
                         }
                     }
                 }
             }
-            Step::Copy { src, dst, post } => {
-                let vals = self.read_loc(&src, &mut vc, pe, ps.op);
-                self.write_loc(&dst, vals, &mut vc, pe, ps.op);
-                if let Some(slot) = post {
-                    self.post(slot, pe, ps.op, &mut vc);
+            PlanStep::FoldSymm { nelems, stride, .. }
+            | PlanStep::FoldInto { nelems, stride, .. } => {
+                let (Some(win), _) = step_windows(&step, pe) else {
+                    unreachable!("folds have a window")
+                };
+                // A symmetric fold's window is its whole contiguous span;
+                // a private fold's window is the strided elements alone.
+                let k = if matches!(step, PlanStep::FoldSymm { .. }) {
+                    stride as usize
+                } else {
+                    1
+                };
+                let mut vals = self.read_loc(&win, &mut vc, pe, r);
+                for j in 0..nelems as usize {
+                    vals[j * k] = merge(&vals[j * k], &self.landing[pe][j * stride as usize]);
                 }
+                self.write_loc(&win, vals, &mut vc, pe, r);
             }
-            Step::Landing { src, post } => {
-                let vals = self.read_loc(&src, &mut vc, pe, ps.op);
-                for (j, v) in vals.into_iter().enumerate() {
-                    self.landing[pe][j * src.stride] = v;
-                }
-                if let Some(slot) = post {
-                    self.post(slot, pe, ps.op, &mut vc);
-                }
-            }
-            Step::Fold { dst } => {
-                let mut merged = Vec::with_capacity(dst.nelems);
-                for j in 0..dst.nelems {
-                    let idx = dst.at + j * dst.stride;
-                    let cur = match dst.space {
-                        Space::Sym => {
-                            if let Some(vc) = vc.as_deref_mut() {
-                                vc.read(pe, dst.pe, idx, ps.op);
+            _ => {
+                if let (Some(src), dst) = step_windows(&step, pe) {
+                    let vals = self.read_loc(&src, &mut vc, pe, r);
+                    match dst {
+                        Some(dst) => self.write_loc(&dst, vals, &mut vc, pe, r),
+                        None => {
+                            for (j, v) in vals.into_iter().enumerate() {
+                                self.landing[pe][j * src.stride] = v;
                             }
-                            &self.sym[dst.pe][idx]
                         }
-                        Space::LocalDst => &self.ldst[dst.pe][idx],
-                        Space::LocalSrc => unreachable!("fold into local_src"),
-                    };
-                    merged.push(merge(cur, &self.landing[pe][j * dst.stride]));
+                    }
                 }
-                self.write_loc(&dst, merged, &mut vc, pe, ps.op);
+            }
+        }
+        // The signal rides its step: a flag is never observable before
+        // the payload it covers.
+        if let Some((to, slot)) = step_signal(&step) {
+            let ix = to * self.n_slots + slot;
+            if self.sig[ix] != 0 {
+                if let Some(vc) = vc.as_deref_mut() {
+                    vc.violations.push(Violation::DoublePost {
+                        pe: to,
+                        slot,
+                        op: r,
+                    });
+                }
+            }
+            self.sig[ix] = 1;
+            if let Some(vc) = vc {
+                vc.slot_clocks[ix] = Some(vc.clocks[pe].clone());
             }
         }
         self.pc[pe] += 1;
+        self.settle(prog, pe);
     }
 
-    fn post(&mut self, slot: usize, pe: usize, op: Option<OpRef>, vc: &mut Option<&mut VcPlane>) {
-        if self.sig[slot] != 0 {
-            if let Some(vc) = vc.as_deref_mut() {
-                vc.violations.push(Violation::DoublePost { slot, op });
-            }
-        }
-        self.sig[slot] = 1;
-        if let Some(vc) = vc.as_deref_mut() {
-            vc.slot_clocks[slot] = Some(vc.clocks[pe].clone());
-        }
-    }
-
-    /// Signal slots still raised — the executor requires an all-zero
-    /// table at collective close, so a clean run returns an empty list.
-    pub fn stranded_slots(&self) -> Vec<usize> {
+    /// `(pe, slot)` of every signal still raised — the executor requires
+    /// an all-zero table at collective close, so a clean run returns an
+    /// empty list.
+    pub fn stranded_slots(&self) -> Vec<(usize, usize)> {
         self.sig
             .iter()
             .enumerate()
             .filter(|(_, &s)| s != 0)
-            .map(|(slot, _)| slot)
+            .map(|(ix, _)| (ix / self.n_slots, ix % self.n_slots))
             .collect()
     }
 
     /// Platform-independent FNV-1a hash of the functional state (used by
-    /// the exhaustive explorer's visited-set).
+    /// the exhaustive explorer's visited-set). The private sources are
+    /// never written, so they are left out.
     pub fn state_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |x: u64| {
@@ -1213,7 +815,7 @@ impl Machine {
         for &s in &self.sig {
             mix(s as u64);
         }
-        for bufs in [&self.sym, &self.lsrc, &self.ldst, &self.landing] {
+        for bufs in [&self.sym, &self.ldst, &self.landing] {
             for pe in bufs {
                 for val in pe {
                     mix(0x5bd1_e995 ^ val.len() as u64);
@@ -1231,7 +833,7 @@ impl VcPlane {
     fn new(prog: &Program) -> Self {
         VcPlane {
             clocks: vec![vec![0; prog.n_pes]; prog.n_pes],
-            slot_clocks: vec![None; prog.n_slots],
+            slot_clocks: vec![None; prog.n_pes * prog.plan.n_slots],
             sym_acc: (0..prog.n_pes)
                 .map(|_| {
                     (0..prog.sym_len)
@@ -1627,7 +1229,7 @@ pub fn compare(m: &Machine, exp: &Expectation) -> Vec<Mismatch> {
     out
 }
 
-/// Run the compiled program under a caller-supplied choice function
+/// Run the lowered program under a caller-supplied choice function
 /// (`pick(enabled) -> rank`), with the vector-clock plane attached, and
 /// check the final state against `spec`.
 pub fn run_with(
@@ -1657,8 +1259,8 @@ pub fn run_with(
         m.step(prog, pe, Some(&mut vc));
         steps += 1;
     }
-    for slot in m.stranded_slots() {
-        vc.violations.push(Violation::StrandedSignal { slot });
+    for (pe, slot) in m.stranded_slots() {
+        vc.violations.push(Violation::StrandedSignal { pe, slot });
     }
     let mismatches = compare(&m, &prog.expectation(spec));
     ConformanceReport {
@@ -1670,25 +1272,55 @@ pub fn run_with(
     }
 }
 
-/// The oracle's front door: compile `sched` under `sync`, run the
-/// canonical round-robin interleaving with full happens-before and race
-/// checking, and compare the final buffers against `spec`'s dense
-/// reference.
+/// The vector clock every step of `prog` completes with (`[pe][step]`)
+/// on the round-robin interleaving. Each signal slot is posted and
+/// consumed once, so happens-before — the order these clocks encode — is
+/// the same on every interleaving. Steps a wedged run never reached keep
+/// an empty clock.
+pub(crate) fn step_clocks(prog: &Program) -> Vec<Vec<Vec<u64>>> {
+    let mut m = Machine::new(prog);
+    let mut vc = VcPlane::new(prog);
+    let mut out: Vec<Vec<Vec<u64>>> = (0..prog.n_pes)
+        .map(|pe| {
+            let mut clocks = vec![Vec::new(); prog.steps(pe).len()];
+            // Leading stage markers complete before any step.
+            clocks[..m.pc[pe]].fill(vec![0; prog.n_pes]);
+            clocks
+        })
+        .collect();
+    let mut rr = RoundRobin::default();
+    while !m.all_done(prog) {
+        let enabled = m.enabled(prog);
+        if enabled.is_empty() {
+            break;
+        }
+        let pe = rr.pick(&enabled);
+        let before = m.pc.clone();
+        m.step(prog, pe, Some(&mut vc));
+        for (q, clocks) in out.iter_mut().enumerate() {
+            clocks[before[q]..m.pc[q]].fill(vc.clocks[q].clone());
+        }
+    }
+    out
+}
+
+/// The oracle's front door: lower `sched` under `sync` as the runtime
+/// does, run the canonical round-robin interleaving of the plan with full
+/// happens-before and race checking, and compare the final buffers
+/// against `spec`'s dense reference.
 pub fn check_schedule(
     sched: &CommSchedule,
     sync: SyncMode,
     spec: &CollectiveSpec,
     cfg: &ModelConfig,
 ) -> ConformanceReport {
-    let prog = compile(sched, sync, cfg);
-    let mut rr = 0usize;
-    run_with(&prog, spec, |enabled| {
-        // Round-robin: rotate through ranks, taking the next enabled one.
-        let n = enabled.len();
-        let pick = enabled[rr % n];
-        rr = rr.wrapping_add(1);
-        pick
-    })
+    check_program(&Program::new(sched, sync, cfg), spec)
+}
+
+/// [`check_schedule`] over an already lowered (or mutated) program.
+pub fn check_program(prog: &Program, spec: &CollectiveSpec) -> ConformanceReport {
+    let mut rr = RoundRobin::default();
+    run_with(prog, spec, |enabled| rr.pick(enabled))
 }
 
 #[cfg(test)]
@@ -1890,21 +1522,38 @@ mod tests {
     }
 
     #[test]
-    fn resolution_matches_executor_rules() {
-        let sched = broadcast_binomial(8, 0, 4, 1);
-        let cfg = ModelConfig::default();
-        assert_eq!(
-            compile(&sched, SyncMode::Auto, &cfg).sync,
-            SyncMode::Signaled
-        );
-        let single = broadcast_linear_sched(8, 0, 4, 1);
-        assert_eq!(
-            compile(&single, SyncMode::Auto, &cfg).sync,
-            SyncMode::Barrier
-        );
-        assert_eq!(
-            compile(&sched, SyncMode::Pipelined, &cfg).sync,
-            SyncMode::Pipelined
-        );
+    fn misrouted_signal_is_caught() {
+        let n = 4;
+        let adj = uniform_disp(n, 1, 0);
+        let sched = gather_binomial(n, 0, &adj);
+        let spec = CollectiveSpec::Gather {
+            root: 0,
+            adj_disp: adj,
+        };
+        let prog = Program::new(&sched, SyncMode::Signaled, &ModelConfig::default());
+        assert!(check_program(&prog, &spec).ok());
+        let (mut plan, refs) = prog.into_parts();
+        let post = plan.per_pe[1]
+            .steps
+            .iter_mut()
+            .find_map(|s| match s {
+                PlanStep::Post { dst_pe, .. } => Some(dst_pe),
+                _ => None,
+            })
+            .expect("a leaf announces readiness");
+        *post = (*post + 1) % n as u32;
+        let report = check_program(&Program::from_parts(plan, refs), &spec);
+        assert!(report.deadlock.is_some(), "{}", report.summary());
+    }
+
+    /// The oracle interprets the runtime's own plan, step for step.
+    #[test]
+    fn oracle_runs_the_runtime_plan() {
+        use crate::collectives::plan::lower;
+        let sched = reduce_binomial(5, 2, 3, 1);
+        for sync in SyncMode::CONCRETE {
+            let (plan, _) = Program::new(&sched, sync, &ModelConfig::default()).into_parts();
+            assert_eq!(plan, lower(&sched, sync, 8), "{}", sync.name());
+        }
     }
 }

@@ -187,8 +187,9 @@ fn dropped_signals_trip_watchdog_naming_pe_and_stage() {
 
 #[test]
 fn dropped_chunk_signal_report_names_pe_stage_and_chunk() {
+    use xbrtime::collectives::plan::{execute_plan, lower};
     use xbrtime::collectives::policy::{slot_role, SlotRole};
-    use xbrtime::collectives::schedule::{self, broadcast_binomial};
+    use xbrtime::collectives::schedule::broadcast_binomial;
     use xbrtime::fabric::CollectiveKind;
 
     // One pipelined Put of 128 KiB (8 chunks) from PE 0 to PE 1, with
@@ -203,16 +204,8 @@ fn dropped_chunk_signal_report_names_pe_stage_and_chunk() {
         .with_faults(FaultConfig::drops_forever(5, 1000));
     let result = Fabric::try_run(cfg, move |pe| {
         let buf = pe.shared_malloc::<u64>(nelems);
-        let sched = broadcast_binomial(2, 0, nelems, 1);
-        schedule::execute_sync(
-            pe,
-            &sched,
-            buf.whole(),
-            &[],
-            &mut [],
-            None,
-            SyncMode::Pipelined,
-        );
+        let plan = lower(&broadcast_binomial(2, 0, nelems, 1), SyncMode::Pipelined, 8);
+        execute_plan(pe, &plan, buf.whole(), &[], &mut [], None);
     });
     let report = match result {
         Err(RunError::Deadlock(report)) => report,

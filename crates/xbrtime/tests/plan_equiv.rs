@@ -1,12 +1,13 @@
-//! Compiled-plan equivalence: routing a collective through a compiled
+//! Plan-cache equivalence: a collective issued from a cached, shared
 //! [`xbrtime::collectives::plan`] must be observationally identical to
-//! the interpretive schedule executor it was lowered from.
+//! one whose PE lowers its own program afresh on every call (the
+//! uncached path).
 //!
 //! For every collective × algorithm × sync mode × backend at paper-scale
 //! PE counts, the plan-cache-on and plan-cache-off configurations must
-//! produce byte-identical result buffers and structurally identical
-//! telemetry (op/byte/stage/signal counts; simulated cycle fields are
-//! masked exactly as in `backend_equiv.rs`). On top of that:
+//! produce byte-identical result buffers and identical telemetry
+//! (op/byte/stage/signal counts; simulated cycle fields are masked
+//! exactly as in `backend_equiv.rs`). On top of that:
 //! cache-key determinism (same key ⇒ one shared plan, shape change ⇒
 //! distinct entries), concurrent-issue counter exactness at 256 PEs
 //! under the work-stealing engine, and nonblocking overlap of ≥2
@@ -145,7 +146,7 @@ fn run_one(
                 pe.barrier();
                 let mut dest = vec![0u64; nelems];
                 // Map the shared policy axis onto the allreduce family so
-                // every generator gets plan-vs-interpretive coverage.
+                // every generator gets cached-vs-uncached coverage.
                 let strat = match algo {
                     AlgorithmPolicy::Auto => AllReduceAlgo::Auto,
                     AlgorithmPolicy::Binomial => AllReduceAlgo::RecursiveDoubling,
@@ -200,7 +201,7 @@ fn run_one(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn assert_plan_matches_interpretive(
+fn assert_cached_matches_uncached(
     engine: EngineConfig,
     kind: Kind,
     algo: AlgorithmPolicy,
@@ -224,11 +225,11 @@ fn assert_plan_matches_interpretive(
 /// Deterministic sweep on the thread backend: every collective kind under
 /// every concrete sync mode, plan cache on vs off, byte-identical.
 #[test]
-fn compiled_plans_match_interpretive_thread_backend() {
+fn cached_plans_match_uncached_thread_backend() {
     for kind in KINDS {
         for sync in SyncMode::CONCRETE {
             for n in [2usize, 5, 8] {
-                assert_plan_matches_interpretive(
+                assert_cached_matches_uncached(
                     EngineConfig::threads(),
                     kind,
                     AlgorithmPolicy::Auto,
@@ -244,11 +245,11 @@ fn compiled_plans_match_interpretive_thread_backend() {
 
 /// Same sweep on the cooperative work-stealing backend.
 #[test]
-fn compiled_plans_match_interpretive_coop_backend() {
+fn cached_plans_match_uncached_coop_backend() {
     for kind in KINDS {
         for sync in SyncMode::CONCRETE {
             for n in [2usize, 5, 8] {
-                assert_plan_matches_interpretive(
+                assert_cached_matches_uncached(
                     EngineConfig::coop().with_seed(0xA5),
                     kind,
                     AlgorithmPolicy::Auto,
@@ -262,12 +263,12 @@ fn compiled_plans_match_interpretive_coop_backend() {
     }
 }
 
-/// Explicit algorithm shapes (binomial/linear/ring) through the plan
-/// path. For AllReduce/AllGather the policy axis maps onto the extended
+/// Explicit algorithm shapes (binomial/linear/ring), cached vs
+/// uncached. For AllReduce/AllGather the policy axis maps onto the extended
 /// family (recursive doubling / Rabenseifner / ring, fan / dissemination
 /// — see `run_one`), so every new generator gets a pinned row here.
 #[test]
-fn compiled_plans_match_every_algorithm() {
+fn cached_plans_match_uncached_every_algorithm() {
     for kind in [
         Kind::Broadcast,
         Kind::Reduce,
@@ -281,7 +282,7 @@ fn compiled_plans_match_every_algorithm() {
             AlgorithmPolicy::Linear,
             AlgorithmPolicy::Ring,
         ] {
-            assert_plan_matches_interpretive(
+            assert_cached_matches_uncached(
                 EngineConfig::threads(),
                 kind,
                 algo,
@@ -297,12 +298,12 @@ fn compiled_plans_match_every_algorithm() {
 /// The non-power-of-two segmented generators under signaled/pipelined
 /// sync, plan-on vs plan-off, both backends.
 #[test]
-fn compiled_plans_match_allreduce_family_non_pow2() {
+fn cached_plans_match_uncached_allreduce_family_non_pow2() {
     for engine in [EngineConfig::threads(), EngineConfig::coop().with_seed(3)] {
         for algo in [AlgorithmPolicy::Linear, AlgorithmPolicy::Ring] {
             for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
                 for n in [3usize, 7] {
-                    assert_plan_matches_interpretive(engine, Kind::AllReduce, algo, sync, n, 41, 0);
+                    assert_cached_matches_uncached(engine, Kind::AllReduce, algo, sync, n, 41, 0);
                 }
             }
         }
@@ -520,10 +521,10 @@ fn persistent_reissue_hits_cache() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Randomised plan-on/off agreement across the full configuration
+    /// Randomised cache-on/off agreement across the full configuration
     /// cross-product on the thread backend.
     #[test]
-    fn plan_matches_interpretive_on_random_configs(
+    fn cached_matches_uncached_on_random_configs(
         kind_i in 0usize..KINDS.len(),
         algo_i in 0usize..ALGOS.len(),
         sync_i in 0usize..SYNCS.len(),
@@ -531,7 +532,7 @@ proptest! {
         nelems in 1usize..=96,
         root_i in 0usize..8,
     ) {
-        assert_plan_matches_interpretive(
+        assert_cached_matches_uncached(
             EngineConfig::threads(),
             KINDS[kind_i],
             ALGOS[algo_i],
