@@ -52,8 +52,8 @@ static PLAN_CACHE: AtomicBool = AtomicBool::new(true);
 
 /// `--plan-cache {on,off}` flag shared by the harness binaries: whether
 /// every fabric built through [`paper_config`] routes collectives through
-/// the compiled plan cache (the default) or the interpretive schedule
-/// executor — the A/B baseline `xbench_issue` quantifies. Exits with an
+/// the compiled plan cache (the default) or lower this PE's plan afresh on
+/// every call — the A/B baseline `xbench_issue` quantifies. Exits with an
 /// error on an unknown value rather than silently measuring the wrong
 /// configuration.
 pub fn plan_cache_arg(args: &[String]) {

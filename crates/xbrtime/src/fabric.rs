@@ -226,9 +226,9 @@ pub struct FabricConfig {
     /// Compiled-plan cache: when `true` (the default) collective wrappers
     /// lower each distinct schedule shape once into a flat per-PE plan
     /// and reissue it from the cache
-    /// ([`PlanCache`](crate::collectives::PlanCache)); `false` forces the
-    /// interpretive executor on every call (the A/B baseline for
-    /// `xbench_issue`).
+    /// ([`PlanCache`](crate::collectives::PlanCache)); `false` lowers the
+    /// calling PE's program afresh on every call, with no memo (the A/B
+    /// baseline for `xbench_issue`).
     pub plan_cache: bool,
 }
 
